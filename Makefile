@@ -4,7 +4,8 @@
 #   make test    — tier-1: the fast correctness suite
 #   make lint    — lqolint: the repo's invariant analyzers (cmd/lqo-lint)
 #   make race    — full suite under the race detector
-#   make fuzz    — short fuzz smoke over the SQL parser and key encoding
+#   make fuzz    — short fuzz smoke over the SQL parser, key encoding and
+#                  filter kernels
 #   make verify  — what CI runs: build + vet + lint + tests + race + fuzz
 #                  smoke, then staticcheck & govulncheck (skipped offline)
 #   make bench   — regenerate every experiment table (E1..E10, E13..E17)
@@ -13,6 +14,7 @@
 #   make drift-smoke — E15 closed-loop adaptation under staged drift
 #   make shard-smoke — E16 sharded scatter-gather vs the unsharded reference
 #   make pool-smoke  — E17 pooled vs per-run allocation, identity-checked
+#   make serve-smoke — 1 s servebench runs of drift-write and hot-repeat
 #   make chaos   — E10 only: guardrail runtime under fault injection
 
 GO ?= go
@@ -27,7 +29,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke load-smoke drift-smoke shard-smoke pool-smoke chaos
+.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke load-smoke drift-smoke shard-smoke pool-smoke serve-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -70,6 +72,7 @@ race:
 fuzz:
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzKeyUniqueness -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
 
 verify: build vet lint test race fuzz staticcheck govulncheck
 
@@ -103,6 +106,17 @@ shard-smoke:
 # diverge from the serial ReferenceRun, pooled or not.
 pool-smoke:
 	$(GO) run ./cmd/lqo-bench -exp E17 -workers 1,8 -repeat 3
+
+# One-second servebench runs of the drift-write and hot-repeat workloads.
+# servebench exits 0 even when answers are wrong, so each run's last line
+# (the JSON summary) must show "correct":true and "failed":0.
+serve-smoke:
+	@for w in drift-write hot-repeat; do \
+		out=$$(bash servebench/run.sh --workload $$w --seconds 1 | tail -n 1); \
+		echo "$$w: $$out"; \
+		case "$$out" in *'"correct":true'*) ;; *) echo "serve-smoke: $$w: wrong answers" >&2; exit 1;; esac; \
+		case "$$out" in *'"failed":0'[,}]*) ;; *) echo "serve-smoke: $$w: failed requests" >&2; exit 1;; esac; \
+	done
 
 chaos:
 	$(GO) run ./cmd/lqo-bench -chaos

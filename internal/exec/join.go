@@ -17,6 +17,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -89,7 +90,7 @@ func compositeKey(t []int32, kcs []keyCol) uint64 {
 // join: the key column's []int64 storage and tuple position are resolved
 // once, so per-tuple extraction is a direct slice index instead of a
 // per-row column dispatch. Single-column keys (the overwhelmingly common
-// case) skip FNV mixing entirely — the raw int64 value is the map key,
+// case) skip FNV mixing entirely — the raw int64 value is the table key,
 // which is injective, so the keysEqual re-check only ever confirms.
 // Output is independent of the keying scheme either way: matches emit in
 // build order filtered by keysEqual, whatever the bucketing.
@@ -160,7 +161,7 @@ type hashJoinOp struct {
 	started      bool
 	buildIsRight bool
 	build        [][]int32 // aliases bufLeft or bufRight
-	ht           map[uint64][]int32
+	ht           joinTable // index over build; pooled arrays, released in Close
 
 	probeBuf    [][]int32 // current probe tuples (buffered side or a streamed batch view)
 	probeIdx    int
@@ -290,27 +291,90 @@ func (j *hashJoinOp) start() error {
 		j.probeStream = !leftDone
 	}
 	j.bg, j.pg = newKeyGather(j.bks), newKeyGather(j.pks)
-	// Bulk-gather the build keys in one typed pass, then insert.
+	// Bulk-gather the build keys in one typed pass, then index them.
 	keys := j.bg.gather(j.build, j.pool.GetKeys(len(j.build)))
-	j.ht = make(map[uint64][]int32, len(j.build))
-	for ti := range j.build {
+	err := j.ht.build(j.ctx, keys, j.pool)
+	j.pool.PutKeys(keys)
+	return err
+}
+
+// hashMul is the 64-bit golden-ratio multiplier of the join table's
+// multiplicative (Fibonacci) hash: the top bits of key*hashMul spread
+// sequential and strided integer keys evenly over the slots.
+const hashMul = 0x9e3779b97f4a7c15
+
+// joinTable is the hash join's build-side index: a flat open-addressed
+// table of power-of-two size, at least twice the build rows, probed
+// linearly from the multiplicative hash of the uint64 join key. Each
+// occupied slot holds its key and the head of a chain threaded through
+// next, one entry per build row. Rows are inserted in reverse, so every
+// chain ascends in build order — the order emit must produce. All three
+// arrays come from the pool and go back in release; only head needs
+// clearing per build, because a slot's key is read only once its head
+// marks it occupied and next is written for every row.
+type joinTable struct {
+	keys  []uint64 // per slot: the key, valid where head is non-zero
+	head  []int32  // per slot: first build row + 1; 0 marks an empty slot
+	next  []int32  // per build row: the next row with the same key; -1 ends
+	shift uint     // 64 - log2(len(head))
+}
+
+// build indexes keys (keys[i] is build row i's join key), drawing the
+// table's arrays from pool. On cancellation the arrays stay owned by t
+// for release.
+func (t *joinTable) build(ctx context.Context, keys []uint64, pool *BatchPool) error {
+	bits := uint(1)
+	for 1<<bits < 2*len(keys) {
+		bits++
+	}
+	size := 1 << bits
+	t.shift = 64 - bits
+	t.keys = slices.Grow(pool.GetKeys(size), size)[:size]
+	t.head = slices.Grow(pool.GetSel(size), size)[:size]
+	t.next = slices.Grow(pool.GetSel(len(keys)), len(keys))[:len(keys)]
+	clear(t.head)
+	mask := uint64(size - 1)
+	for ti := len(keys) - 1; ti >= 0; ti-- {
 		if ti%cancelCheckRows == 0 {
-			if err := j.ctx.Err(); err != nil {
-				j.pool.PutKeys(keys)
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		j.ht[keys[ti]] = append(j.ht[keys[ti]], int32(ti))
+		k := keys[ti]
+		s := (k * hashMul) >> t.shift
+		for t.head[s] != 0 && t.keys[s] != k {
+			s = (s + 1) & mask
+		}
+		t.keys[s] = k
+		t.next[ti] = t.head[s] - 1
+		t.head[s] = int32(ti) + 1
 	}
-	j.pool.PutKeys(keys)
 	return nil
+}
+
+// find returns the first build row whose key is k, or -1. The table is
+// at most half full, so the probe always reaches an empty slot.
+func (t *joinTable) find(k uint64) int32 {
+	mask := uint64(len(t.head) - 1)
+	s := (k * hashMul) >> t.shift
+	for t.head[s] != 0 && t.keys[s] != k {
+		s = (s + 1) & mask
+	}
+	return t.head[s] - 1
+}
+
+// release returns the table's arrays to pool. Idempotent.
+func (t *joinTable) release(pool *BatchPool) {
+	pool.PutKeys(t.keys)
+	pool.PutSel(t.head)
+	pool.PutSel(t.next)
+	*t = joinTable{}
 }
 
 // emit appends the matches of one probe tuple to buf in build order,
 // oriented left-tuple-first. Output tuples carve from c's arena slab.
 func (j *hashJoinOp) emit(pt []int32, buf [][]int32, c *arenaChunk) [][]int32 {
-	h := j.pg.key(pt)
-	for _, bi := range j.ht[h] {
+	for bi := j.ht.find(j.pg.key(pt)); bi >= 0; bi = j.ht.next[bi] {
 		bt := j.build[bi]
 		if !keysEqual(pt, j.pks, bt, j.bks) {
 			continue
@@ -538,16 +602,18 @@ func (j *hashJoinOp) finish() {
 	j.node.TrueCard = float64(j.emitted)
 }
 
-// Close returns the owned pooled buffers (bufLeft/bufRight/seg/pending —
-// build and probeBuf are aliases of these or of a borrowed streamed batch,
-// never Put) and releases the output-tuple arena.
+// Close returns the owned pooled buffers (bufLeft/bufRight/seg/pending
+// and the join table's arrays — build and probeBuf are aliases of these or
+// of a borrowed streamed batch, never Put) and releases the output-tuple
+// arena.
 func (j *hashJoinOp) Close() error {
 	j.pool.PutTuples(j.bufLeft)
 	j.pool.PutTuples(j.bufRight)
 	j.pool.PutTuples(j.seg)
 	j.pool.PutTuples(j.pending)
+	j.ht.release(j.pool)
 	j.bufLeft, j.bufRight, j.seg = nil, nil, nil
-	j.build, j.ht, j.probeBuf, j.pending, j.out.Tuples = nil, nil, nil, nil, nil
+	j.build, j.probeBuf, j.pending, j.out.Tuples = nil, nil, nil, nil
 	j.chunk.reset()
 	for i := range j.chunks {
 		j.chunks[i].reset()

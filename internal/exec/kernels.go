@@ -4,12 +4,15 @@
 // matchesAll: per row, per predicate, a Kind branch, a Value conversion
 // and a CmpOp switch. The vectorized path decides all of that once per
 // scan — compilePreds binds each predicate to its column's typed storage
-// and picks a (Kind × CmpOp) kernel family — and then runs tight
-// branch-free-per-row loops directly over []int64 / []float64 blocks,
-// appending matching row ids to a reusable selection vector. Int and
-// dictionary-encoded String columns with integral predicate values
-// compare exactly in int64 (no float round-trip); Between is a single
-// fused range kernel; float kernels preserve NaN semantics bit-for-bit.
+// and picks a (Kind × CmpOp) kernel family — and then runs tight loops
+// directly over []int64 / []float64 blocks, appending matching row ids to
+// a reusable selection vector. The exact-int and float loops carry no
+// data-dependent branch: each row id is stored unconditionally and the
+// count advances by the comparison's 0/1 result (the mixed-kind fallback
+// keeps a per-row switch). Int and dictionary-encoded String columns with
+// integral predicate values compare exactly in int64 (no float
+// round-trip); Between is a single fused range kernel; float kernels
+// preserve NaN semantics bit-for-bit.
 //
 // Before a block's kernel runs, its zone map (per-block min/max, see
 // data/zonemap.go) is consulted: a block whose range provably cannot
@@ -28,6 +31,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"lqo/internal/data"
 	"lqo/internal/query"
@@ -117,107 +121,113 @@ func (cp *compiledPred) refine(sel []int32) []int32 {
 	}
 }
 
+// b2i converts a comparison result to 0 or 1; the compiler lowers it to
+// a flag-setting instruction, so the kernels below carry no data-dependent
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // rangeKernel is the (Kind × CmpOp) dispatch table's hot half: one tight
-// loop per operator over the typed value slice, with the comparison
-// constants hoisted out of the loop. The default arm mirrors
-// Pred.Matches: an unknown operator matches nothing.
+// branch-free loop per operator over the typed value slice, with the
+// comparison constants hoisted out of the loop. The selection vector
+// grows once by hi-lo; every row id is stored unconditionally and the
+// count advances only on a match, so selectivity costs no
+// mispredictions. Entries already in sel are left untouched. The default
+// arm mirrors Pred.Matches: an unknown operator matches nothing.
 func rangeKernel[T number](v []T, lo, hi int32, op query.CmpOp, a, b T, sel []int32) []int32 {
+	n := len(sel)
+	vs := v[lo:hi]
+	sel = slices.Grow(sel, len(vs))
+	out := sel[n : n+len(vs)]
+	k := 0
 	switch op {
 	case query.Eq:
-		for i := lo; i < hi; i++ {
-			if v[i] == a {
-				sel = append(sel, i)
-			}
+		for j, x := range vs {
+			out[k] = lo + int32(j)
+			k += b2i(x == a)
 		}
 	case query.Ne:
-		for i := lo; i < hi; i++ {
-			if v[i] != a {
-				sel = append(sel, i)
-			}
+		for j, x := range vs {
+			out[k] = lo + int32(j)
+			k += b2i(x != a)
 		}
 	case query.Lt:
-		for i := lo; i < hi; i++ {
-			if v[i] < a {
-				sel = append(sel, i)
-			}
+		for j, x := range vs {
+			out[k] = lo + int32(j)
+			k += b2i(x < a)
 		}
 	case query.Le:
-		for i := lo; i < hi; i++ {
-			if v[i] <= a {
-				sel = append(sel, i)
-			}
+		for j, x := range vs {
+			out[k] = lo + int32(j)
+			k += b2i(x <= a)
 		}
 	case query.Gt:
-		for i := lo; i < hi; i++ {
-			if v[i] > a {
-				sel = append(sel, i)
-			}
+		for j, x := range vs {
+			out[k] = lo + int32(j)
+			k += b2i(x > a)
 		}
 	case query.Ge:
-		for i := lo; i < hi; i++ {
-			if v[i] >= a {
-				sel = append(sel, i)
-			}
+		for j, x := range vs {
+			out[k] = lo + int32(j)
+			k += b2i(x >= a)
 		}
 	case query.Between:
-		for i := lo; i < hi; i++ {
-			if x := v[i]; x >= a && x <= b {
-				sel = append(sel, i)
-			}
+		for j, x := range vs {
+			out[k] = lo + int32(j)
+			k += b2i(x >= a) & b2i(x <= b)
 		}
 	}
-	return sel
+	return sel[:n+k]
 }
 
 // refineKernel is rangeKernel over an existing selection vector,
-// compacting it in place.
+// compacting it in place the same branch-free way: the write index never
+// passes the read index, so no unread entry is overwritten.
 func refineKernel[T number](v []T, op query.CmpOp, a, b T, sel []int32) []int32 {
-	out := sel[:0]
+	k := 0
 	switch op {
 	case query.Eq:
 		for _, i := range sel {
-			if v[i] == a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] == a)
 		}
 	case query.Ne:
 		for _, i := range sel {
-			if v[i] != a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] != a)
 		}
 	case query.Lt:
 		for _, i := range sel {
-			if v[i] < a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] < a)
 		}
 	case query.Le:
 		for _, i := range sel {
-			if v[i] <= a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] <= a)
 		}
 	case query.Gt:
 		for _, i := range sel {
-			if v[i] > a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] > a)
 		}
 	case query.Ge:
 		for _, i := range sel {
-			if v[i] >= a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] >= a)
 		}
 	case query.Between:
 		for _, i := range sel {
-			if x := v[i]; x >= a && x <= b {
-				out = append(out, i)
-			}
+			sel[k] = i
+			x := v[i]
+			k += b2i(x >= a) & b2i(x <= b)
 		}
 	}
-	return out
+	return sel[:k]
 }
 
 // cmpFloat is the scalar fallback comparison for the mixed-kind family,

@@ -17,9 +17,10 @@ import (
 )
 
 // kernelLens are column lengths chosen to straddle every interesting
-// boundary: empty, single row, one row either side of a zone block, and
-// multi-block with a ragged tail.
-var kernelLens = []int{0, 1, 7, data.ZoneBlockSize - 1, data.ZoneBlockSize, data.ZoneBlockSize + 1, 3*data.ZoneBlockSize + 17}
+// boundary: empty, single row, one row either side of one and of two zone
+// blocks, and multi-block with a ragged tail.
+var kernelLens = []int{0, 1, 7, data.ZoneBlockSize - 1, data.ZoneBlockSize, data.ZoneBlockSize + 1,
+	2*data.ZoneBlockSize - 1, 2 * data.ZoneBlockSize, 2*data.ZoneBlockSize + 1, 3*data.ZoneBlockSize + 17}
 
 var allOps = []query.CmpOp{query.Eq, query.Ne, query.Lt, query.Le, query.Gt, query.Ge, query.Between}
 
@@ -94,6 +95,25 @@ func randPred(rng *rand.Rand, c *data.Column, op query.CmpOp) query.Pred {
 	return p
 }
 
+// edgePreds are fixed Between predicates over c that randPred reaches
+// only by chance: inverted bounds (a > b), a NaN in either or both
+// bounds, a point range and the full int64 range.
+func edgePreds(c *data.Column) []query.Pred {
+	lo, hi := data.IntVal(10), data.IntVal(40)
+	if c.Kind == data.Float {
+		lo, hi = data.FloatVal(10), data.FloatVal(40)
+	}
+	nan := data.FloatVal(math.NaN())
+	between := func(a, b data.Value) query.Pred {
+		return query.Pred{Alias: "t", Column: c.Name, Op: query.Between, Val: a, Val2: b}
+	}
+	return []query.Pred{
+		between(hi, lo), between(lo, lo),
+		between(nan, hi), between(lo, nan), between(nan, nan),
+		between(data.IntVal(math.MinInt64), data.IntVal(math.MaxInt64)),
+	}
+}
+
 // scalarSelect is the ground truth: row ids matching preds via matchesAll.
 func scalarSelect(cols []*data.Column, preds []query.Pred, lo, hi int) []int32 {
 	var out []int32
@@ -136,6 +156,16 @@ func checkEquiv(t *testing.T, rng *rand.Rand, cols []*data.Column, preds []query
 	want := scalarSelect(cols, preds, 0, nrows)
 
 	sameIDs(t, msg+"/filterSpan", bf.filterSpan(0, nrows, nil), want)
+
+	// A non-empty selection prefix comes back unmodified with the matches
+	// appended after it, whether the vector must grow or has spare room.
+	prefix := []int32{-7, 1 << 30, -7}
+	for _, spare := range []int{0, nrows + 8} {
+		sel := append(make([]int32, 0, len(prefix)+spare), prefix...)
+		got := bf.filterSpan(0, nrows, sel)
+		sameIDs(t, fmt.Sprintf("%s/prefix spare=%d", msg, spare), got[:len(prefix)], prefix)
+		sameIDs(t, fmt.Sprintf("%s/afterPrefix spare=%d", msg, spare), got[len(prefix):], want)
+	}
 	sameIDs(t, msg+"/spanTuples", idsOf(filterSpanTuples(context.Background(), bf, 0, nrows, nil, nil, nil)), want)
 
 	// Non-aligned sub-span: [lo, hi) cut at arbitrary offsets.
@@ -193,6 +223,10 @@ func TestKernelsMatchScalar(t *testing.T) {
 					checkEquiv(t, rng, []*data.Column{c}, []query.Pred{p}, n,
 						fmt.Sprintf("n=%d col=%s op=%s trial=%d", n, name, op, trial))
 				}
+			}
+			for ei, p := range edgePreds(c) {
+				checkEquiv(t, rng, []*data.Column{c}, []query.Pred{p}, n,
+					fmt.Sprintf("n=%d col=%s edge=%d %v..%v", n, name, ei, p.Val, p.Val2))
 			}
 		}
 		// Multi-predicate conjunctions across kinds: first-kernel + refine.
